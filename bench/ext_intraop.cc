@@ -8,8 +8,9 @@
  *
  *  - off@1 / off@8: intra-op disabled on a 1- and 8-worker pool (the
  *    pre-intra-op shape; off@8 vs off@1 prices the seam itself);
- *  - on@1 / on@2 / on@8: intra-op enabled, kernels shard across the
- *    pool via the whole-request ParallelRegion;
+ *  - on@1 / on@2 / on@8: intra-op enabled; on a multi-thread pool the
+ *    request runs level by level, and the GEMMs of levels narrower
+ *    than the pool shard across it through a ParallelRegion;
  *
  * interleaving configurations round-robin per round so drift hits all
  * five equally, then comparing per-config median wall times. Outputs

@@ -35,7 +35,6 @@
 #include "quant/quantize_pass.h"
 #include "runtime/arena.h"
 #include "runtime/batch_driver.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "serve/serve_driver.h"
 
@@ -147,7 +146,7 @@ requestInputs(const Graph &g, size_t r)
 
 /**
  * Execute one model concretely through the runtime: N independent
- * requests, serial reference or parallel wavefront/batch backend.
+ * requests, on the serial reference Executor or the BatchDriver.
  * Returns false if --verify found a mismatch. When the parallel
  * backend ran, @p outProfile / @p outPlan receive its measurements.
  */
@@ -225,8 +224,9 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
 
     std::vector<std::vector<Tensor>> outs(requests);
     std::shared_ptr<EnginePlan> shared_plan;  // reused by verify's A/B
-    if (rt.parallel && requests > 1) {
-        // Inter-request parallelism: one planned graph, N requests.
+    if (rt.parallel) {
+        // One planned graph, N requests: inter-request parallelism,
+        // or a lone request's wavefront levels (hybrid wide/deep).
         shared_plan = buildEnginePlan(g);
         BatchDriver driver(g, pool, shared_plan, backend, rt.arenaOn(),
                            rt.intraOpMode());
@@ -239,20 +239,6 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
             *outProfile = driver.profile();
         if (outPlan)
             *outPlan = driver.memoryPlan();
-    } else if (rt.parallel) {
-        // Single request: wavefront (intra-graph) parallelism, deep
-        // levels handing the pool to GEMMs per the hybrid scheduler.
-        ParallelExecutor ex(g, pool, backend, rt.arenaOn(),
-                            rt.intraOpMode());
-        outs[0] = ex.run(reqs[0]);
-        printMemoryPlan(ex.memoryPlan(), std::cout);
-        printRuntimeReport(ex.profile(), std::cout);
-        printNonGemmReport(buildNonGemmReport(g),
-                           ex.profile().usByCategory, std::cout);
-        if (outProfile)
-            *outProfile = ex.profile();
-        if (outPlan)
-            *outPlan = ex.memoryPlan();
     } else {
         Executor ex(g, backend);
         for (size_t r = 0; r < requests; ++r)
@@ -282,10 +268,8 @@ runRuntimeModel(const std::string &name, const BenchConfig &cfg,
                   << "\n";
         // And the other arena A/B direction: an arena-mode parallel
         // run must match a heap-mode parallel run bit for bit (the
-        // plan is mode-independent, so the batch path's is reused).
+        // plan is mode-independent, so the run's own is reused).
         if (rt.parallel && rt.arenaOn()) {
-            if (!shared_plan)
-                shared_plan = buildEnginePlan(g);
             BatchDriver heap_driver(g, pool, shared_plan, backend,
                                     /*arena=*/false, rt.intraOpMode());
             std::vector<std::vector<Tensor>> heap_outs =
@@ -696,11 +680,13 @@ usage()
         "                       engine-cache key)\n"
         "  --intraop MODE       on | off | auto: intra-op parallelism\n"
         "                       (hybrid inter/intra-op scheduling).\n"
-        "                       off keeps kernels serial (wavefront /\n"
-        "                       batch parallelism only); on hands the\n"
-        "                       pool to GEMMs whenever a level or batch\n"
-        "                       is narrower than the pool; auto\n"
-        "                       (default) asks a per-level cost model.\n"
+        "                       off keeps kernels serial (batch\n"
+        "                       parallelism only; a lone request runs\n"
+        "                       in schedule order). on and auto run a\n"
+        "                       lone request level by level: on hands\n"
+        "                       the pool to the GEMMs of every level\n"
+        "                       narrower than the pool, auto (default)\n"
+        "                       asks a per-level cost model.\n"
         "                       Sharding splits M/N macro-tiles, never\n"
         "                       the K reduction, so outputs are\n"
         "                       bit-identical at every thread count.\n"

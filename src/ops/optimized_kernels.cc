@@ -118,10 +118,6 @@ constexpr int64_t kMC = 64;
 constexpr int64_t kKC = 256;
 constexpr int64_t kNC = 128;
 
-/** Problems below this many flops shard poorly: the fork-join and
- *  panel-pack overhead costs more than the multiply. */
-constexpr int64_t kParMinFlops = 1 << 17;
-
 /**
  * One macro-tile of the blocked GEMM: C[M,N] block (row-major, leading
  * dimension @p ldc) from PACKED panels A[M,K] (lda = K) and B[K,N]

@@ -48,10 +48,6 @@ shapeKey(int64_t m, int64_t k, int64_t n)
            std::to_string(n);
 }
 
-/** Below this the sharding overhead exceeds the GEMM itself (same
- *  threshold as the f32 core in optimized_kernels.cc). */
-constexpr int64_t kParMinFlops = 1 << 17;
-
 int
 parThreads(const ParallelRegion *par)
 {

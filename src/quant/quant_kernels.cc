@@ -131,10 +131,6 @@ w8TileLoop(const float *A, const int8_t *B, float *C, int64_t M,
     }
 }
 
-/// Below this the sharding overhead exceeds the int8 GEMM itself
-/// (same threshold as the f32 core in optimized_kernels.cc).
-constexpr int64_t kParMinFlops = 1 << 17;
-
 /**
  * Run @p body(i0, rows) over kMR-aligned row blocks of [0,M), through
  * @p par when profitable, serially otherwise. Rows of an int8 GEMM are

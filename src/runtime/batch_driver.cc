@@ -15,6 +15,51 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Fraction of linear speedup a sharded GEMM actually achieves (pack
+ *  overhead, ragged macro-tile grids, fork-join latency). */
+constexpr double kIntraOpEfficiency = 0.7;
+
+/**
+ * The hybrid wide/deep decision for every level of @p sched on a
+ * @p T -thread pool. Everything it reads is static (cost model + pool
+ * width), so a driver resolves it once and replays it every run.
+ */
+std::vector<char>
+deepLevelsOf(const Graph &g, const Schedule &sched, int T,
+             IntraOpMode mode)
+{
+    std::vector<char> deep(sched.numLevels(), 0);
+    for (size_t lvl = 0; lvl < sched.numLevels(); ++lvl) {
+        const std::vector<int> &nodes = sched.levels()[lvl];
+        const auto width = static_cast<int>(nodes.size());
+        double gemm_flops = 0;  // shardable work on this level
+        double max_flops = 0;   // wide critical path per wave
+        double deep_cost = 0;   // sequential, GEMMs sharded
+        for (int id : nodes) {
+            const Node &n = g.node(id);
+            const double f = n.cost.flops;
+            max_flops = std::max(max_flops, f);
+            const bool shardable = n.category() == OpCategory::Gemm &&
+                                   f >= static_cast<double>(kParMinFlops);
+            if (shardable)
+                gemm_flops += f;
+            deep_cost += shardable ? f / (T * kIntraOpEfficiency) : f;
+        }
+        if (gemm_flops <= 0)
+            continue;  // nothing a region could speed up
+        if (mode == IntraOpMode::On) {
+            deep[lvl] = width < T ? 1 : 0;
+            continue;
+        }
+        // Auto: wide runs the level in ceil(width/T) waves, each
+        // bounded by its heaviest node; deep runs nodes back to back
+        // with GEMMs at ~70% of linear pool speedup.
+        const double waves = (width + T - 1) / T;
+        deep[lvl] = deep_cost < waves * max_flops ? 1 : 0;
+    }
+    return deep;
+}
+
 }  // namespace
 
 std::shared_ptr<EnginePlan>
@@ -92,12 +137,15 @@ BatchDriver::BatchDriver(const Graph &g, ThreadPool &pool,
         profile_.modelFlops += n.cost.flops;
         profile_.modelBytes += n.cost.totalBytes();
     }
+    if (intraop_ != IntraOpMode::Off && pool_.threads() > 1)
+        deepLevels_ = deepLevelsOf(g_, plan_->sched, pool_.threads(),
+                                   intraop_);
 }
 
 std::vector<Tensor>
 BatchDriver::runOne(const std::vector<Tensor> &inputs,
                     std::vector<double> &node_us, RequestMemory &mem,
-                    const ParallelRegion *par)
+                    bool levels)
 {
     const auto &gin = g_.graphInputs();
     if (inputs.size() != gin.size())
@@ -141,27 +189,75 @@ BatchDriver::runOne(const std::vector<Tensor> &inputs,
         arena_alloc = std::make_unique<ArenaAllocator>(
             plan_->memplan, plan_->arenas.acquire());
 
-    const std::vector<int> &order = plan_->sched.order();
-    for (size_t step = 0; step < order.size(); ++step) {
-        const Node &n = g_.node(order[step]);
+    // One node. A null region keeps its kernels serial; a pool-backed
+    // one lends them the workers. Outputs are bit-identical either way.
+    auto eval = [&](int node_id, const ParallelRegion *par) {
+        const Node &n = g_.node(node_id);
         auto id = static_cast<size_t>(n.id);
-        if (results[id].empty() || !results[id][0].defined()) {
-            auto k0 = Clock::now();
-            if (n.inputs.empty()) {
-                if (n.paramShapes.empty())
-                    throw std::runtime_error(
-                        "BatchDriver: input node without a bound tensor: " +
-                        n.name);
-                results[id] = {params.get(n, 0)};
-            } else {
-                ScratchScope scratch;  // node-lifetime temporaries
-                results[id] = evalNode(n, lookup, params, backend_,
-                                       arena_alloc.get(), par);
-            }
-            node_us[id] += elapsedUsSince(k0);
+        if (!results[id].empty() && results[id][0].defined())
+            return;  // graph input, bound above
+        auto k0 = Clock::now();
+        if (n.inputs.empty()) {
+            if (n.paramShapes.empty())
+                throw std::runtime_error(
+                    "BatchDriver: input node without a bound tensor: " +
+                    n.name);
+            results[id] = {params.get(n, 0)};
+        } else {
+            ScratchScope scratch;  // node-lifetime temporaries
+            results[id] = evalNode(n, lookup, params, backend_,
+                                   arena_alloc.get(), par);
         }
+        node_us[id] += elapsedUsSince(k0);
+    };
+    auto release_after = [&](size_t step) {
         for (int rid : plan_->releaseAfterStep[step])
             results[static_cast<size_t>(rid)].clear();
+    };
+
+    if (levels) {
+        // Pool workers do not inherit this thread's trace id: wide
+        // tasks re-establish it so their node spans stay tagged.
+        const uint64_t trace_id = obs::currentTraceId();
+        // The wavefront order() is level-major, so a level's steps are
+        // the next nodes.size() positions.
+        size_t step = 0;
+        for (size_t lvl = 0; lvl < deepLevels_.size(); ++lvl) {
+            const std::vector<int> &nodes = plan_->sched.levels()[lvl];
+            const bool deep = deepLevels_[lvl] != 0;
+            obs::ScopedSpan span(obs::SpanKind::Level);
+            span.ev().a0 = static_cast<int64_t>(lvl);
+            span.ev().a1 = static_cast<int64_t>(nodes.size());
+            span.ev().a2 = deep ? 1 : 0;
+            // Attach-only: this thread's view of the level, not the
+            // workers'.
+            obs::CounterScope counters(span.armed() ? &span.ev()
+                                                    : nullptr);
+            auto t0 = Clock::now();
+            if (deep) {
+                ParallelRegion region(&pool_);
+                for (int id : nodes)
+                    eval(id, &region);
+            } else {
+                pool_.parallelFor(nodes.size(), [&](size_t i, int) {
+                    obs::TraceIdScope tid(trace_id);
+                    eval(nodes[i], nullptr);
+                });
+            }
+            profile_.levels.push_back({static_cast<int>(lvl), nodes.size(),
+                                       elapsedUsSince(t0), deep});
+            // The level has joined: every reader of its steps' dead
+            // values is done.
+            for (const size_t end = step + nodes.size(); step < end;
+                 ++step)
+                release_after(step);
+        }
+    } else {
+        const std::vector<int> &order = plan_->sched.order();
+        for (size_t step = 0; step < order.size(); ++step) {
+            eval(order[step], nullptr);
+            release_after(step);
+        }
     }
 
     if (arena_alloc) {
@@ -199,13 +295,12 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
     // Hybrid scheduling: many requests saturate the pool with
     // inter-request parallelism (kernels serial); a batch of ONE
     // request has no inter-request parallelism to exploit, so with
-    // intra-op enabled it runs HERE — on the dispatch thread, outside
-    // any pool task, so the nesting guard doesn't inline its shards —
-    // lending the whole pool to its GEMMs through a region.
-    const bool deep = intraop_ != IntraOpMode::Off &&
-                      requests.size() == 1 && pool_.threads() > 1;
+    // intra-op enabled it walks wavefront levels from HERE — the
+    // dispatch thread, outside any pool task, so the nesting guard
+    // doesn't inline its regions.
+    const bool levels = !deepLevels_.empty() && requests.size() == 1;
 
-    auto run_request = [&](size_t r, const ParallelRegion *par) {
+    auto run_request = [&](size_t r) {
         // The serving layer's per-request id rides into every span
         // this request records on whichever worker picked it up.
         // Standalone (--runtime) batches get synthetic 1-based ids so
@@ -219,17 +314,16 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
         // payload is the request's own counter footprint (kernel
         // scopes inside it do the per-category aggregation).
         obs::CounterScope counters(span.armed() ? &span.ev() : nullptr);
-        outputs[r] = runOne(requests[r], node_us[r], req_mem[r], par);
+        outputs[r] = runOne(requests[r], node_us[r], req_mem[r], levels);
     };
 
+    profile_.levels.clear();
     auto wall0 = Clock::now();
-    if (deep) {
-        ParallelRegion region(&pool_);
-        run_request(0, &region);
-    } else {
+    if (levels)
+        run_request(0);
+    else
         pool_.parallelFor(requests.size(),
-                          [&](size_t r, int) { run_request(r, nullptr); });
-    }
+                          [&](size_t r, int) { run_request(r); });
     profile_.wallUs = elapsedUsSince(wall0);
 
     profile_.perf = obs::PerfCounterStats{};
@@ -241,7 +335,6 @@ BatchDriver::run(const std::vector<std::vector<Tensor>> &requests,
     profile_.requests = static_cast<int>(requests.size());
     profile_.intraop = intraOpModeName(intraop_);
     profile_.schedule = plan_->sched.stats();
-    profile_.levels.clear();
     profile_.sumUs = 0;
     profile_.usByCategory.clear();
     profile_.quant.int8GemmUs = 0;

@@ -71,10 +71,17 @@ std::shared_ptr<EnginePlan> buildEnginePlan(const Graph &g);
  * Hybrid scheduling: a batch of many requests saturates the pool with
  * inter-request parallelism, so kernels stay serial. A batch of ONE
  * request (the latency-bound serving case) leaves every worker idle —
- * with intra-op enabled (IntraOpMode::On / Auto) it runs on the
- * calling thread with a full-pool ParallelRegion instead, so its
- * GEMMs shard across the workers. Outputs are bit-identical either
- * way (the ParallelRegion determinism contract).
+ * with intra-op enabled (IntraOpMode::On / Auto) on a multi-thread
+ * pool it walks the schedule's wavefront levels instead, each either
+ * WIDE (one pool task per node, kernels serial; the level's nodes are
+ * independent, so they write disjoint result slots) or DEEP (nodes in
+ * order on the calling thread, each lending the whole pool to its
+ * GEMMs through a ParallelRegion). Wide wins when the level carries
+ * enough nodes to fill the pool; deep wins on narrow levels — the
+ * residual-stream trunk of a transformer. On goes deep whenever a
+ * GEMM-carrying level is narrower than the pool, Auto asks a
+ * per-level cost model (see deepLevels_). Outputs are bit-identical
+ * either way (the ParallelRegion determinism contract).
  */
 class BatchDriver
 {
@@ -133,10 +140,11 @@ class BatchDriver
         int64_t heapTensors = 0;
     };
 
+    /** Run one request: schedule order on this thread, or wavefront
+     *  levels across the pool when @p levels. */
     std::vector<Tensor> runOne(const std::vector<Tensor> &inputs,
                                std::vector<double> &node_us,
-                               RequestMemory &mem,
-                               const ParallelRegion *par = nullptr);
+                               RequestMemory &mem, bool levels);
 
     const Graph &g_;
     ThreadPool &pool_;
@@ -144,6 +152,13 @@ class BatchDriver
     const Backend &backend_;
     bool arena_ = false;
     IntraOpMode intraop_ = IntraOpMode::Auto;
+
+    /**
+     * Per-level wide/deep decision of the single-request level loop;
+     * empty when there is no level loop (intra-op off or a one-thread
+     * pool).
+     */
+    std::vector<char> deepLevels_;
 
     RuntimeProfile profile_;
 };

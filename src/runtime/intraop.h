@@ -2,6 +2,7 @@
 #define NGB_RUNTIME_INTRAOP_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -28,7 +29,14 @@
 
 namespace ngb {
 
-/** How the executor hands pool threads to kernels. */
+/**
+ * GEMMs below this many flops run serial: the fork-join and panel-pack
+ * overhead of a region costs more than the multiply. The kernels' own
+ * serial cut and the runtime's per-level wide/deep decision share it.
+ */
+constexpr int64_t kParMinFlops = int64_t{1} << 17;
+
+/** How the runtime hands pool threads to kernels. */
 enum class IntraOpMode {
     Off,   ///< never: kernels always run serial (pre-intra-op shape)
     On,    ///< whenever a level is narrower than the pool

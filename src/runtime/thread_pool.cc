@@ -2,6 +2,7 @@
 
 #include "obs/trace.h"
 #include "runtime/runtime_profile.h"
+#include "tensor/scratch.h"
 
 namespace ngb {
 
@@ -130,6 +131,11 @@ ThreadPool::popTask(int id, size_t &task, bool &stolen)
 void
 ThreadPool::workUntilDrained(int id)
 {
+    // Give this thread's scratch arena room for the largest kernel
+    // temporaries any thread has needed so far, so the steady state
+    // allocates nothing even on a worker that has not yet run the
+    // peak-demand node (no-op once such a block exists).
+    ScratchArena::local().reserve(ScratchArena::globalHighWaterBytes());
     Queue &own = *queues_[static_cast<size_t>(id)];
     while (remaining_.load(std::memory_order_acquire) > 0) {
         size_t task;
@@ -191,6 +197,11 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t, int)> &fn)
     }
 
     fn_ = &fn;
+    // Publish the count BEFORE dealing: a worker still draining the
+    // previous region can pop a new task the moment it is queued, and
+    // its decrement must land on this region's count, not be
+    // overwritten by it (the caller would then wait forever).
+    remaining_.store(n, std::memory_order_release);
     // Deal tasks round-robin so each worker starts with a local run of
     // indices; stealing rebalances the tail.
     for (int w = 0; w < workers; ++w) {
@@ -200,7 +211,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t, int)> &fn)
              i += static_cast<size_t>(workers))
             q.tasks.push_back(i);
     }
-    remaining_.store(n, std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(wakeMutex_);
         epoch_.fetch_add(1, std::memory_order_acq_rel);

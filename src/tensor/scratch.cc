@@ -78,6 +78,19 @@ ScratchArena::alloc(const Shape &shape, DType dtype)
                   elem_offset, dtype);
 }
 
+void
+ScratchArena::reserve(int64_t bytes)
+{
+    if (bytes <= 0)
+        return;
+    for (const auto &b : blocks_)
+        if (static_cast<int64_t>(b->bytes()) >= bytes)
+            return;
+    blocks_.push_back(std::make_shared<Storage>(
+        std::max(kMinBlock, alignUp(static_cast<size_t>(bytes))),
+        /*zero=*/false));
+}
+
 bool
 ScratchArena::owns(const Tensor &t) const
 {

@@ -55,6 +55,14 @@ class ScratchArena
      */
     Tensor alloc(const Shape &shape, DType dtype);
 
+    /**
+     * Make sure one block holds @p bytes, adding an uninitialized one
+     * (pages untouched outside poison mode) when none does. A block
+     * that holds a node's whole scratch demand means that node never
+     * grows the arena, whatever else the thread has run.
+     */
+    void reserve(int64_t bytes);
+
     /** True when @p t 's bytes live inside this thread's arena. */
     bool owns(const Tensor &t) const;
 

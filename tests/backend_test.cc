@@ -17,7 +17,6 @@
 #include "ops/kernels.h"
 #include "ops/optimized_kernels.h"
 #include "runtime/batch_driver.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -308,8 +307,9 @@ TEST_P(BackendDifferentialTest, OptimizedMatchesReferenceSerialAndParallel)
     // Same backend, parallel wavefront execution: bit-identical to
     // the serial walk — threading must never change a bit.
     ThreadPool pool(4);
-    ParallelExecutor pex(g, pool, optimizedBackend());
-    EXPECT_EQ(bitDifference(pex.run(inputs), got), "") << info.name;
+    BatchDriver pex(g, pool, optimizedBackend(), arenaEnabledByEnv(),
+                    IntraOpMode::On);
+    EXPECT_EQ(bitDifference(pex.run({inputs})[0], got), "") << info.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

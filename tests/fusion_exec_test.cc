@@ -23,7 +23,6 @@
 #include "ops/backend.h"
 #include "ops/fused_kernels.h"
 #include "runtime/batch_driver.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -114,8 +113,9 @@ TEST_P(FusionDifferentialTest, FusedMatchesUnfusedSerialAndWavefront)
         // Wavefront execution of the fused graph must be bit-identical
         // to its serial walk, whatever the backend.
         ThreadPool pool(4);
-        ParallelExecutor pex(fused, pool, *backend);
-        EXPECT_EQ(bitDifference(pex.run(inputs), got), "")
+        BatchDriver pex(fused, pool, *backend, arenaEnabledByEnv(),
+                        IntraOpMode::On);
+        EXPECT_EQ(bitDifference(pex.run({inputs})[0], got), "")
             << info.name << " [" << backend->name() << " wavefront]";
     }
 }

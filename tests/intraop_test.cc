@@ -16,7 +16,6 @@
 #include "quant/weight_pack.h"
 #include "runtime/batch_driver.h"
 #include "runtime/intraop.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 
@@ -110,7 +109,7 @@ TEST(IntraOpRegionTest, ShardExceptionPropagatesAndPoolSurvives)
 
 TEST(IntraOpNestingTest, RegionInsidePoolTaskRunsInlineWithoutDeadlock)
 {
-    // The wavefront executor dispatches node tasks through the same
+    // A wide wavefront level dispatches node tasks through the same
     // pool a kernel's region borrows. A region launched from INSIDE a
     // task must run its shards inline on the calling worker — any
     // attempt at a second fork-join on the same pool would deadlock.
@@ -301,25 +300,30 @@ TEST(IntraOpSchedulerTest, OffModeNeverRunsDeepLevels)
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, optimizedBackend(), false,
-                        IntraOpMode::Off);
-    ex.run(makeRequestInputs(g, 1));
-    EXPECT_EQ(ex.profile().deepLevelCount(), 0);
-    EXPECT_EQ(ex.profile().intraop, "off");
+    BatchDriver drv(g, pool, optimizedBackend(), false, IntraOpMode::Off);
+    drv.run({makeRequestInputs(g, 1)});
+    // Off walks a lone request in schedule order: no level loop at all.
+    EXPECT_TRUE(drv.profile().levels.empty());
+    EXPECT_EQ(drv.profile().deepLevelCount(), 0);
+    EXPECT_EQ(drv.profile().intraop, "off");
 }
 
 TEST(IntraOpSchedulerTest, OnModeRunsNarrowGemmLevelsDeep)
 {
     Graph g = models::findModel("vit_b").build(ModelConfig{1, 8, false,
                                                            0, 8});
+    auto inputs = makeRequestInputs(g, 1);
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool, optimizedBackend(), false,
-                        IntraOpMode::On);
-    ex.run(makeRequestInputs(g, 1));
+    BatchDriver drv(g, pool, optimizedBackend(), false, IntraOpMode::On);
+    auto outs = drv.run({inputs});
+    ASSERT_EQ(outs.size(), 1u);
+    EXPECT_TRUE(outputsBitIdentical(
+        outs[0], Executor(g, optimizedBackend()).run(inputs)));
+    EXPECT_EQ(drv.profile().levels.size(), drv.schedule().numLevels());
     // A transformer trunk is narrower than 4 workers at its GEMM
     // levels: On must hand at least some of them to intra-op.
-    EXPECT_GT(ex.profile().deepLevelCount(), 0);
-    EXPECT_EQ(ex.profile().intraop, "on");
+    EXPECT_GT(drv.profile().deepLevelCount(), 0);
+    EXPECT_EQ(drv.profile().intraop, "on");
 }
 
 TEST(IntraOpSchedulerTest, SingleRequestBatchGoesDeepAndStaysIdentical)
@@ -369,19 +373,13 @@ TEST_P(IntraOpAllModels, BitIdenticalAtEveryThreadCount)
         auto want = ref.run(inputs);
         for (int threads : counts) {
             ThreadPool pool(threads);
-            // Single-request batch: the whole graph runs under a
-            // full-pool region — every GEMM shards.
+            // Single-request batch: wavefront levels, narrow GEMM
+            // levels deep (their GEMMs shard), the rest wide.
             BatchDriver drv(g, pool, *backend, false, IntraOpMode::On);
             auto outs = drv.run({inputs});
             ASSERT_EQ(outs.size(), 1u);
             EXPECT_TRUE(outputsBitIdentical(outs[0], want))
                 << info.name << " driver backend=" << backend->name()
-                << " threads=" << threads;
-            // Wavefront executor: hybrid per-level wide/deep.
-            ParallelExecutor ex(g, pool, *backend, false,
-                                IntraOpMode::On);
-            EXPECT_TRUE(outputsBitIdentical(ex.run(inputs), want))
-                << info.name << " executor backend=" << backend->name()
                 << " threads=" << threads;
         }
     }

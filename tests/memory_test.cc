@@ -11,7 +11,6 @@
 #include "runtime/arena.h"
 #include "runtime/batch_driver.h"
 #include "runtime/memory_planner.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -363,8 +362,9 @@ TEST(ArenaExecutionTest, BitIdenticalToHeapAcrossRegistryAndBackends)
             std::vector<std::vector<Tensor>> want = {
                 serial.run(reqs[0]), serial.run(reqs[1])};
 
-            ParallelExecutor wavefront(g, pool, *backend, /*arena=*/true);
-            EXPECT_TRUE(outputsBitIdentical(wavefront.run(reqs[0]),
+            BatchDriver wavefront(g, pool, *backend, /*arena=*/true,
+                                  IntraOpMode::On);
+            EXPECT_TRUE(outputsBitIdentical(wavefront.run({reqs[0]})[0],
                                             want[0]))
                 << info.name << " wavefront/" << backend->name();
 
@@ -479,10 +479,12 @@ TEST(AllocationRegressionTest, SteadyStateWavefrontIsMallocFree)
     mc.seqLen = 8;
     mc.testScale = 8;
     Graph g = models::findModel("vit_b").build(mc);
-    std::vector<Tensor> inputs = makeRequestInputs(g, 1);
-    ParallelExecutor ex(g, pool, referenceBackend(), /*arena=*/true);
+    std::vector<std::vector<Tensor>> inputs = {makeRequestInputs(g, 1)};
+    BatchDriver ex(g, pool, referenceBackend(), /*arena=*/true,
+                   IntraOpMode::On);
     // Outputs dropped between runs -> the one block recycles.
     EXPECT_EQ(steadyStateAllocs([&] { ex.run(inputs); }), 0u);
+    EXPECT_EQ(ex.profile().levels.size(), ex.schedule().numLevels());
     EXPECT_EQ(ex.profile().memory.heapAllocs, 0);
     EXPECT_TRUE(ex.profile().memory.arena);
     EXPECT_GT(ex.profile().memory.boundPeakBytes, 0);
@@ -535,11 +537,17 @@ TEST(ArenaStressTest, ConcurrentWavefrontWritesRespectThePlan)
     std::vector<Tensor> inputs = makeRequestInputs(g, 7);
     Executor serial(g);
     std::vector<Tensor> want = serial.run(inputs);
-    ParallelExecutor ex(g, pool, defaultBackend(), /*arena=*/true);
+    // One request, level by level: each level's branches are written
+    // into the arena concurrently by the pool's workers.
+    BatchDriver ex(g, pool, defaultBackend(), /*arena=*/true,
+                   IntraOpMode::On);
     ASSERT_TRUE(verifyNoAliasing(ex.memoryPlan()));
     for (int iter = 0; iter < kStressIters; ++iter)
-        ASSERT_TRUE(outputsBitIdentical(ex.run(inputs), want))
+        ASSERT_TRUE(outputsBitIdentical(ex.run({inputs})[0], want))
             << "iteration " << iter;
+    // No GEMMs, so every level ran wide.
+    EXPECT_EQ(ex.profile().levels.size(), ex.schedule().numLevels());
+    EXPECT_EQ(ex.profile().deepLevelCount(), 0);
 
     // The same plan hammered through concurrent batched requests.
     BatchDriver driver(g, pool, defaultBackend(), /*arena=*/true);

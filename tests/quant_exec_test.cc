@@ -36,7 +36,6 @@
 #include "quant/quant_mode.h"
 #include "quant/weight_pack.h"
 #include "runtime/batch_driver.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -111,11 +110,9 @@ TEST_P(QuantDifferentialTest, QuantizedMatchesFloatAcrossRuntimes)
             if (st.linearsQuantized == 0)
                 EXPECT_EQ(bitDifference(got, want), "") << ctx;
 
-            // Scheduling invariance: wavefront == serial, batch ==
+            // Scheduling invariance: a lone request through the
+            // driver (level by level unless intra-op is off) ==
             // serial, bit for bit.
-            ParallelExecutor pex(q, pool, *backend);
-            EXPECT_EQ(bitDifference(pex.run(inputs), got), "")
-                << ctx << " [" << backend->name() << " wavefront]";
             BatchDriver driver(q, pool, *backend);
             auto outs = driver.run({inputs});
             EXPECT_EQ(bitDifference(outs[0], got), "")

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "graph/builder.h"
 #include "graph/executor.h"
@@ -14,7 +18,6 @@
 #include "deploy/flow.h"
 #include "runtime/batch_driver.h"
 #include "runtime/memory_planner.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/request_util.h"
 #include "runtime/thread_pool.h"
 
@@ -147,6 +150,63 @@ TEST(ThreadPoolTest, ZeroAndNegativeRequestsResolveToAtLeastOneWorker)
         pool.parallelFor(16, [&](size_t, int) { ++n; });
         EXPECT_EQ(n.load(), 16);
     }
+}
+
+TEST(ThreadPoolTest, BackToBackRegionsNeverHang)
+{
+    // A worker still draining one region can pop the next region's
+    // first task the moment it is dealt. If the region's task count is
+    // published after dealing, that worker's decrement is overwritten
+    // and the caller waits forever. Tasks of uneven length and a stats
+    // poller contending the queue locks (as a metrics sampler does)
+    // widen that window: the unfixed pool hung within a few thousand
+    // regions on a 4-vCPU host. A hung caller cannot fail its own
+    // test, so a watchdog ends the process once regions stop
+    // completing.
+    constexpr int kRegions = 100000;
+    constexpr auto kStall = std::chrono::seconds(5);
+    ThreadPool pool(4);
+    std::atomic<int> completed{0};
+    std::atomic<bool> finished{false};
+    std::thread watchdog([&] {
+        int seen = -1;
+        auto progress = std::chrono::steady_clock::now();
+        while (!finished.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            const int now = completed.load();
+            if (now != seen) {
+                seen = now;
+                progress = std::chrono::steady_clock::now();
+            } else if (std::chrono::steady_clock::now() - progress >
+                       kStall) {
+                std::fprintf(stderr,
+                             "ThreadPoolTest.BackToBackRegionsNeverHang: "
+                             "FAILED, region %d made no progress for 5 s\n",
+                             now);
+                std::_Exit(1);
+            }
+        }
+    });
+    std::thread poller([&] {
+        while (!finished.load())
+            pool.drainStats();
+    });
+    std::atomic<int64_t> tasks{0};
+    for (int r = 0; r < kRegions; ++r) {
+        pool.parallelFor(4, [&](size_t i, int) {
+            const uint32_t h = (static_cast<uint32_t>(r) * 4u +
+                                static_cast<uint32_t>(i)) *
+                               2654435761u;
+            for (volatile uint32_t k = 0; k < (h >> 16) % 4000u; ++k) {
+            }
+            ++tasks;
+        });
+        completed.store(r + 1);
+    }
+    finished = true;
+    poller.join();
+    watchdog.join();
+    EXPECT_EQ(tasks.load(), int64_t{4} * kRegions);
 }
 
 TEST(ThreadPoolTest, StatsAccountForAllTasks)
@@ -304,7 +364,7 @@ TEST(MemoryPlannerTest, GraphOutputsStayLiveToTheEnd)
     EXPECT_EQ(p->lastLevel, static_cast<int>(s.numLevels()) - 1);
 }
 
-// ---- ParallelExecutor: bit-identical to the serial Executor ---------------
+// ---- Single-request wavefront: bit-identical to the serial Executor -------
 
 class RuntimeAllModels : public ::testing::TestWithParam<std::string>
 {
@@ -324,8 +384,9 @@ TEST_P(RuntimeAllModels, ParallelOutputsBitIdenticalToSerial)
     std::vector<Tensor> want = serial.run(inputs);
 
     ThreadPool pool(4);
-    ParallelExecutor parallel(g, pool);
-    std::vector<Tensor> got = parallel.run(inputs);
+    BatchDriver parallel(g, pool, defaultBackend(), arenaEnabledByEnv(),
+                         IntraOpMode::On);
+    std::vector<Tensor> got = parallel.run({inputs})[0];
     EXPECT_TRUE(outputsBitIdentical(want, got)) << info.name;
 
     const RuntimeProfile &p = parallel.profile();
@@ -344,15 +405,16 @@ INSTANTIATE_TEST_SUITE_P(AllRegistryModels, RuntimeAllModels,
                              return names;
                          }()));
 
-TEST(ParallelExecutorTest, RepeatedRunsAreDeterministic)
+TEST(BatchDriverTest, RepeatedWavefrontRunsAreDeterministic)
 {
     Graph g = models::findModel("gpt2").build(ModelConfig{1, 8, false, 0, 8});
     std::vector<Tensor> inputs = makeInputs(g, 7);
     ThreadPool pool(4);
-    ParallelExecutor ex(g, pool);
-    std::vector<Tensor> first = ex.run(inputs);
+    BatchDriver ex(g, pool, defaultBackend(), arenaEnabledByEnv(),
+                   IntraOpMode::On);
+    std::vector<Tensor> first = ex.run({inputs})[0];
     for (int i = 0; i < 3; ++i)
-        EXPECT_TRUE(outputsBitIdentical(first, ex.run(inputs)));
+        EXPECT_TRUE(outputsBitIdentical(first, ex.run({inputs})[0]));
 }
 
 // ---- BatchDriver ----------------------------------------------------------
